@@ -50,9 +50,13 @@ struct StrideEntry {
 /// let reqs = p.observe(1, PhysAddr(128), true);            // confident
 /// assert_eq!(reqs[0].addr, PhysAddr(192));
 /// ```
+///
+/// The table is built on the first observation, so a prefetcher that never
+/// runs (and every clone of it) holds no table.
 #[derive(Debug, Clone)]
 pub struct IpStridePrefetcher {
     table: Vec<StrideEntry>,
+    slots: usize,
 }
 
 impl IpStridePrefetcher {
@@ -60,14 +64,18 @@ impl IpStridePrefetcher {
     #[must_use]
     pub fn new(entries: usize) -> IpStridePrefetcher {
         IpStridePrefetcher {
-            table: vec![StrideEntry::default(); entries.max(1)],
+            table: Vec::new(),
+            slots: entries.max(1),
         }
     }
 }
 
 impl Prefetcher for IpStridePrefetcher {
     fn observe(&mut self, ip: u64, addr: PhysAddr, _miss: bool) -> Vec<PrefetchRequest> {
-        let idx = (ip as usize) % self.table.len();
+        if self.table.is_empty() {
+            self.table.resize(self.slots, StrideEntry::default());
+        }
+        let idx = (ip as usize) % self.slots;
         let e = &mut self.table[idx];
         let addr = addr.line_aligned().0;
         if !e.valid || e.ip != ip {
@@ -120,10 +128,12 @@ struct StreamEntry {
 
 /// Streamer prefetcher (Chen & Baer style): detects two misses with a
 /// consistent direction inside a 4 KiB zone and prefetches a run of
-/// subsequent lines.
+/// subsequent lines. Like [`IpStridePrefetcher`], its table is built on
+/// the first miss it observes.
 #[derive(Debug, Clone)]
 pub struct StreamerPrefetcher {
     streams: Vec<StreamEntry>,
+    slots: usize,
     degree: u32,
 }
 
@@ -136,7 +146,8 @@ impl StreamerPrefetcher {
     #[must_use]
     pub fn new(streams: usize, degree: u32) -> StreamerPrefetcher {
         StreamerPrefetcher {
-            streams: vec![StreamEntry::default(); streams.max(1)],
+            streams: Vec::new(),
+            slots: streams.max(1),
             degree: degree.max(1),
         }
     }
@@ -149,7 +160,10 @@ impl Prefetcher for StreamerPrefetcher {
         }
         let line = addr.line_aligned().0 / LINE_SIZE;
         let zone = addr.0 / ZONE_BYTES;
-        let idx = (zone as usize) % self.streams.len();
+        if self.streams.is_empty() {
+            self.streams.resize(self.slots, StreamEntry::default());
+        }
+        let idx = (zone as usize) % self.slots;
         let e = &mut self.streams[idx];
         if !e.valid || e.zone != zone {
             *e = StreamEntry {
@@ -274,5 +288,61 @@ mod tests {
         s.observe(0, PhysAddr(64), true);
         s.reset();
         assert!(s.observe(0, PhysAddr(128), true).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `(kind, ip, zone, line)`: kind 0 resets, 1 observes a hit, any other
+    /// kind observes a miss of line `line` in 4 KiB zone `zone`.
+    type Op = (u8, u64, u64, u64);
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec((0u8..8, 0u64..4, 0u64..4, 0u64..8), 0..200)
+    }
+
+    /// Drives a never-built and a built-then-reset prefetcher with the
+    /// same ops and asserts identical prefetches at every step.
+    fn lazy_equals_reset(
+        mut lazy: impl Prefetcher,
+        mut built: impl Prefetcher,
+        ops: &[Op],
+    ) -> TestCaseResult {
+        built.observe(0, PhysAddr(0), true);
+        built.reset();
+        for (step, &(kind, ip, zone, line)) in ops.iter().enumerate() {
+            if kind == 0 {
+                lazy.reset();
+                built.reset();
+                continue;
+            }
+            let addr = PhysAddr(zone * ZONE_BYTES + line * LINE_SIZE);
+            prop_assert_eq!(
+                lazy.observe(ip, addr, kind != 1),
+                built.observe(ip, addr, kind != 1),
+                "step {}",
+                step
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// An unbuilt IP-stride table behaves like one with every entry
+        /// invalid.
+        #[test]
+        fn ip_stride_lazy_table_is_invisible(ops in ops()) {
+            lazy_equals_reset(IpStridePrefetcher::new(4), IpStridePrefetcher::new(4), &ops)?;
+        }
+
+        /// An unbuilt streamer table behaves like one with every entry
+        /// invalid.
+        #[test]
+        fn streamer_lazy_table_is_invisible(ops in ops()) {
+            lazy_equals_reset(StreamerPrefetcher::new(2, 2), StreamerPrefetcher::new(2, 2), &ops)?;
+        }
     }
 }

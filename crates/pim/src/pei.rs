@@ -54,9 +54,14 @@ struct MonitorEntry {
 /// table is classified high-locality (host execution). Attackers bypass it
 /// by touching a fresh cache line per operation (§4.1: "The receiver
 /// accesses the next cache line in the initialized row").
+///
+/// The table is built on the first [`LocalityMonitor::observe`]: until
+/// then it is empty and reads as all-invalid, so engines that never route
+/// a PEI through the PMU (and their forks) hold no table at all.
 #[derive(Debug, Clone)]
 pub struct LocalityMonitor {
     entries: Vec<MonitorEntry>,
+    slots: usize,
     threshold: u32,
 }
 
@@ -65,7 +70,8 @@ impl LocalityMonitor {
     #[must_use]
     pub fn new(entries: u32, threshold: u32) -> LocalityMonitor {
         LocalityMonitor {
-            entries: vec![MonitorEntry::default(); entries.max(1) as usize],
+            entries: Vec::new(),
+            slots: entries.max(1) as usize,
             threshold: threshold.max(1),
         }
     }
@@ -75,15 +81,19 @@ impl LocalityMonitor {
     /// predict PMU decisions before committing to a burst.
     #[must_use]
     pub fn peek(&self, line: u64) -> bool {
-        let idx = (line as usize) % self.entries.len();
-        let e = &self.entries[idx];
-        e.valid && e.line == line && e.count >= self.threshold
+        let idx = (line as usize) % self.slots;
+        self.entries
+            .get(idx)
+            .is_some_and(|e| e.valid && e.line == line && e.count >= self.threshold)
     }
 
     /// Observes an access to `line` and reports whether the PMU considers
     /// it high-locality *before* this access.
     pub fn observe(&mut self, line: u64) -> bool {
-        let idx = (line as usize) % self.entries.len();
+        if self.entries.is_empty() {
+            self.entries.resize(self.slots, MonitorEntry::default());
+        }
+        let idx = (line as usize) % self.slots;
         let e = &mut self.entries[idx];
         if e.valid && e.line == line {
             let high = e.count >= self.threshold;
@@ -330,5 +340,45 @@ mod tests {
         // A different line aliases to the single slot and resets it.
         assert!(!m.observe(2));
         assert!(!m.observe(1));
+    }
+
+    #[test]
+    fn unbuilt_monitor_peeks_cold() {
+        let m = LocalityMonitor::new(0, 0);
+        assert!(m.entries.is_empty());
+        for line in [0, 1, u64::MAX] {
+            assert!(!m.peek(line));
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A never-built monitor and a built-then-reset one (every entry
+        /// invalid) answer every peek and observe identically. Kind 0
+        /// resets, kinds 1–2 peek, the rest observe.
+        #[test]
+        fn lazy_monitor_equals_reset_monitor(
+            ops in prop::collection::vec((0u8..8, 0u64..16), 0..200),
+        ) {
+            let mut lazy = LocalityMonitor::new(4, 2);
+            let mut built = LocalityMonitor::new(4, 2);
+            built.observe(0);
+            built.reset();
+            for (step, (kind, line)) in ops.into_iter().enumerate() {
+                match kind {
+                    0 => {
+                        lazy.reset();
+                        built.reset();
+                    }
+                    1 | 2 => prop_assert_eq!(lazy.peek(line), built.peek(line), "step {}", step),
+                    _ => prop_assert_eq!(lazy.observe(line), built.observe(line), "step {}", step),
+                }
+            }
+        }
     }
 }

@@ -29,6 +29,11 @@ pub struct TlbLookup {
 /// slot. All operations are deterministic — eviction order is a pure
 /// function of the access sequence — so the simulator's reproducibility
 /// contract is unaffected by the policy change.
+///
+/// `capacity` is only the eviction bound: the ring and the index grow
+/// with the live entries and are never pre-reserved, so a clone (every
+/// `Engine::fork` clones each agent's TLB) costs O(live entries) rather
+/// than O(`capacity`).
 #[derive(Debug, Clone)]
 struct TlbLevel {
     slots: Vec<u64>,
@@ -42,9 +47,9 @@ impl TlbLevel {
     fn new(capacity: u32) -> TlbLevel {
         let capacity = capacity.max(1) as usize;
         TlbLevel {
-            slots: Vec::with_capacity(capacity),
-            referenced: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            slots: Vec::new(),
+            referenced: Vec::new(),
+            index: HashMap::default(),
             hand: 0,
             capacity,
         }
@@ -262,6 +267,30 @@ mod tests {
         assert_eq!(t.translate(2).latency, Cycles(1), "touched entry evicted");
         assert_eq!(t.translate(1).latency, Cycles(13), "L2 catches the victim");
     }
+
+    #[test]
+    fn clone_allocates_for_live_entries_only() {
+        let mut t = tlb();
+        let live = 32;
+        for vpn in 0..live as u64 {
+            t.warm(vpn);
+        }
+        let c = t.clone();
+        for level in [&t.l1, &t.l2, &c.l1, &c.l2] {
+            assert_eq!(level.slots.len(), live);
+            for cap in [
+                level.slots.capacity(),
+                level.referenced.capacity(),
+                level.index.capacity(),
+            ] {
+                assert!(
+                    cap <= 4 * live,
+                    "capacity {cap} tracks the {} entry bound, not {live} live entries",
+                    level.capacity
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -281,6 +310,41 @@ mod proptests {
                 let again = t.translate(vpn);
                 prop_assert!(!again.walked, "vpn {vpn} walked twice in a row");
             }
+        }
+
+        /// A clone taken after any prefix behaves exactly like the
+        /// original over any continuation, including one that grows the
+        /// clone past its allocation and fills L2 so CLOCK evicts.
+        #[test]
+        fn clone_tracks_original(
+            prefix in prop::collection::vec((any::<bool>(), 0u64..4096), 0..200),
+            cont in prop::collection::vec((any::<bool>(), 0u64..4096), 0..400),
+        ) {
+            let cfg = TlbConfig::paper_table2();
+            let mut orig = Tlb::new(cfg);
+            for &(warm, vpn) in &prefix {
+                if warm {
+                    orig.warm(vpn);
+                } else {
+                    orig.translate(vpn);
+                }
+            }
+            let mut copy = orig.clone();
+            // A fresh sweep longer than L2 between two passes of the random
+            // continuation guarantees growth and eviction.
+            let sweep = (0..u64::from(cfg.l2_entries + cfg.l1_entries))
+                .map(|i| (false, (1 << 40) + i));
+            let ops = cont.iter().copied().chain(sweep).chain(cont.iter().copied());
+            for (warm, vpn) in ops {
+                if warm {
+                    orig.warm(vpn);
+                    copy.warm(vpn);
+                } else {
+                    prop_assert_eq!(orig.translate(vpn), copy.translate(vpn), "vpn {}", vpn);
+                }
+                prop_assert_eq!(orig.walk_count(), copy.walk_count());
+            }
+            prop_assert_eq!(copy.l2.slots.len(), cfg.l2_entries as usize);
         }
 
         /// Walk count only ever increases and is bounded by translations.

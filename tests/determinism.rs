@@ -423,3 +423,21 @@ fn fleet_population_is_worker_and_admission_invariant() {
     assert_eq!(base, run(4, None), "workers=4 diverged");
     assert_eq!(base, run(4, Some(99)), "shuffled admission diverged");
 }
+
+/// Pins the quick 1000-session population digest (what `fleet_run --quick`
+/// runs by default). The worker-count test above only compares runs with
+/// each other, so an `Engine::fork` change that alters every session's
+/// results alike passes it; this constant does not.
+#[test]
+fn fleet_quick_population_digest_is_pinned() {
+    use impact::fleet::{FleetConfig, FleetService};
+
+    let mut fleet = FleetService::new(FleetConfig::quick(0xF1EE7).with_workers(1));
+    fleet.admit_synthetic(1000);
+    let report = fleet.run(&mut |_| {});
+    assert_eq!(report.finished(), 1000);
+    assert_eq!(
+        report.digest, 0x0630_969a_38fe_654f,
+        "quick fleet digest drifted"
+    );
+}
