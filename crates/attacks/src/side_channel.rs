@@ -34,9 +34,13 @@ use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_genomics::genome::{Genome, ReadSampler};
 use impact_genomics::imputation::{score_rounds, LeakScore};
-use impact_genomics::index::{BankLayout, KmerIndex};
-use impact_genomics::mapper::{ReadMapper, RecordingObserver};
+use impact_genomics::index::{seed_probes, BankLayout};
 use impact_sim::{AgentId, Engine};
+
+/// K-mer size of the victim's seed index.
+const SEED_K: usize = 15;
+/// Minimizer window (in k-mers) of the victim's seed index.
+const SEED_W: usize = 5;
 
 /// Configuration of the side-channel experiment.
 #[derive(Debug, Clone)]
@@ -149,10 +153,9 @@ impl SideChannelReport {
 /// everything [`SideChannelAttack::init`] set up that
 /// [`SideChannelAttack::measure`] needs.
 ///
-/// The descriptor itself is engine-independent — it names agents, rows and
-/// the victim's bucket stream, while the warmed DRAM/TLB/clock state lives
-/// in the engine `init` ran on. That split is what makes the warm prefix
-/// forkable: snapshot or fork the engine after `init`, and one
+/// The descriptor itself is engine-independent — it names agents and rows,
+/// while the warmed DRAM/TLB/clock state lives in the engine `init` ran
+/// on. That split is what makes the warm prefix forkable: snapshot or fork the engine after `init`, and one
 /// `SideChannelInit` drives `measure` on every fork.
 #[derive(Debug, Clone)]
 pub struct SideChannelInit {
@@ -162,8 +165,6 @@ pub struct SideChannelInit {
     pub attacker: AgentId,
     /// The attacker's opened row in each bank, indexed by flat bank.
     pub attacker_rows: Vec<VirtAddr>,
-    /// The victim's seeding-probe bucket sequence.
-    pub bucket_stream: Vec<usize>,
     /// Hash-table-over-banks layout.
     pub layout: BankLayout,
     /// Banks in the swept table region.
@@ -174,13 +175,33 @@ pub struct SideChannelInit {
 #[derive(Debug)]
 pub struct SideChannelAttack {
     cfg: SideChannelConfig,
+    /// The victim's seeding-probe bucket sequence (system-independent).
+    bucket_stream: Vec<usize>,
 }
 
 impl SideChannelAttack {
-    /// Creates the harness with the given configuration.
+    /// Creates the harness and records the victim's seeding-probe stream
+    /// (pure compute): each minimizer of each sampled read probes bucket
+    /// `hash % table_buckets`. The attacker sees only these probes, so the
+    /// victim's chaining and alignment are modelled by `victim_gap` alone.
     #[must_use]
     pub fn new(cfg: SideChannelConfig) -> SideChannelAttack {
-        SideChannelAttack { cfg }
+        let genome = Genome::synthesize(cfg.genome_len, cfg.seed);
+        let reads = ReadSampler::new(cfg.seed ^ 0xBEEF).sample_focused(
+            &genome,
+            cfg.reads,
+            cfg.read_len,
+            cfg.read_error_rate,
+            cfg.focus_fraction,
+            cfg.genome_len / 3,
+            cfg.focus_len,
+        );
+        let bucket_stream = reads
+            .iter()
+            .flat_map(|r| seed_probes(&r.bases, SEED_K, SEED_W, cfg.table_buckets))
+            .map(|(_, bucket)| bucket)
+            .collect();
+        SideChannelAttack { cfg, bucket_stream }
     }
 
     /// Paper-default configuration.
@@ -201,8 +222,7 @@ impl SideChannelAttack {
         self.measure(sys, &init)
     }
 
-    /// Initializes the attack on `sys`: victim-side preparation (genome,
-    /// index, read mapping — pure compute), agent spawning, the attacker's
+    /// Initializes the attack on `sys`: agent spawning, the attacker's
     /// row-opening sweep, and the clock-synchronizing barrier. This is the
     /// sweep-point-independent warm prefix: fork the engine afterwards and
     /// run [`SideChannelAttack::measure`] on each fork.
@@ -213,24 +233,6 @@ impl SideChannelAttack {
     pub fn init<B: MemoryBackend>(&self, sys: &mut Engine<B>) -> Result<SideChannelInit> {
         let banks = sys.config().dram_geometry.total_banks() as usize;
         let layout = BankLayout::new(banks, self.cfg.table_buckets, 0);
-
-        // --- Victim-side preparation (outside the timed window) ---
-        let genome = Genome::synthesize(self.cfg.genome_len, self.cfg.seed);
-        let index = KmerIndex::build(&genome, 15, 5, self.cfg.table_buckets);
-        let mut sampler = ReadSampler::new(self.cfg.seed ^ 0xBEEF);
-        let reads = sampler.sample_focused(
-            &genome,
-            self.cfg.reads,
-            self.cfg.read_len,
-            self.cfg.read_error_rate,
-            self.cfg.focus_fraction,
-            self.cfg.genome_len / 3,
-            self.cfg.focus_len,
-        );
-        let mapper = ReadMapper::new(&genome, &index);
-        let mut recorder = RecordingObserver::default();
-        mapper.map_reads_observed(&reads, &mut recorder);
-        let bucket_stream = recorder.buckets;
 
         // --- Simulated agents ---
         let victim = sys.spawn_agent();
@@ -274,14 +276,14 @@ impl SideChannelAttack {
             victim,
             attacker,
             attacker_rows,
-            bucket_stream,
             layout,
             banks,
         })
     }
 
     /// Runs the measured phase on an engine prepared by
-    /// [`SideChannelAttack::init`] (or a fork of one).
+    /// [`SideChannelAttack::init`] (or a fork of one), replaying the
+    /// victim's recorded seeding-probe stream against the attacker's sweep.
     ///
     /// # Errors
     ///
@@ -295,10 +297,10 @@ impl SideChannelAttack {
             victim,
             attacker,
             attacker_rows,
-            bucket_stream,
             layout,
             banks,
         } = init;
+        let bucket_stream = &self.bucket_stream;
         let (victim, attacker, banks) = (*victim, *attacker, *banks);
         let mut victim_rows: Vec<Option<VirtAddr>> = vec![None; banks];
 
@@ -518,6 +520,31 @@ mod tests {
         );
     }
 
+    /// One attack initialized on 1024 and on 8192 banks replays the same
+    /// whole stream on each, and reports what a fresh attack per bank
+    /// count reports.
+    #[test]
+    fn one_attack_drives_every_bank_count_with_one_stream() {
+        let cfg = || SideChannelConfig {
+            reads: 20,
+            ..SideChannelConfig::default()
+        };
+        let shared = SideChannelAttack::new(cfg());
+        let stream_len = shared.bucket_stream.len() as u64;
+        for banks in [1024u32, 8192] {
+            let sys_cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
+            let mut sys = System::new(sys_cfg.clone());
+            let init = shared.init(&mut sys).unwrap();
+            let r = shared.measure(&mut sys, &init).unwrap();
+            assert_eq!(r.victim_accesses, stream_len, "{banks} banks");
+            let fresh = SideChannelAttack::new(cfg())
+                .run(&mut System::new(sys_cfg))
+                .unwrap();
+            let key = |r: &SideChannelReport| (r.score, r.probes, r.elapsed);
+            assert_eq!(key(&r), key(&fresh), "{banks} banks");
+        }
+    }
+
     /// The attack runs identically on the sharded backend.
     #[test]
     fn runs_identically_on_sharded_backend() {
@@ -538,36 +565,5 @@ mod tests {
         assert_eq!(mono.score.false_negatives, sharded.score.false_negatives);
         assert_eq!(mono.elapsed, sharded.elapsed);
         assert_eq!(mono_sys.dram_totals(), sh_sys.dram_totals());
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use impact_core::config::SystemConfig;
-    use impact_sim::System;
-
-    #[test]
-    #[ignore]
-    fn debug_score_breakdown() {
-        for banks in [1024u32, 2048, 4096, 8192] {
-            let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
-            let mut sys = System::new(cfg);
-            let attack = SideChannelAttack::new(SideChannelConfig {
-                reads: 40,
-                ..SideChannelConfig::default()
-            });
-            let r = attack.run(&mut sys).unwrap();
-            eprintln!(
-                "banks {banks}: TP {} FP {} FN {} victim {} tput {:.2} err {:.3} miss {:.3}",
-                r.score.true_positives,
-                r.score.false_positives,
-                r.score.false_negatives,
-                r.victim_accesses,
-                r.throughput_mbps(sys.config().clock),
-                r.error_rate(),
-                r.miss_rate()
-            );
-        }
     }
 }

@@ -31,13 +31,13 @@ pub fn fig11_with(backend: BackendKind, reads: usize, fork_sweeps: bool) -> Figu
     let mut tput = Vec::new();
     let mut err = Vec::new();
     let mut miss = Vec::new();
+    let attack = SideChannelAttack::new(SideChannelConfig {
+        reads,
+        ..SideChannelConfig::default()
+    });
     for &b in &banks {
         let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(b);
         let mut sys = backend.system(cfg);
-        let attack = SideChannelAttack::new(SideChannelConfig {
-            reads,
-            ..SideChannelConfig::default()
-        });
         let (r, clock) = if fork_sweeps {
             use impact_core::snapshot::Snapshot;
             let init = attack.init(&mut sys).expect("side channel init");

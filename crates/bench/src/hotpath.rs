@@ -164,9 +164,11 @@ pub fn register_system(c: &mut Criterion) {
 
 /// The copy-on-write fork payoff at sweep granularity: obtaining a warmed
 /// side-channel engine from scratch (`System::new` + the full
-/// `SideChannelAttack::init` prefix — genome/index synthesis, agent
-/// spawning, the bank row-opening sweep, clock sync) vs forking a parent
-/// that ran the identical prefix once, outside the timed loop. The fork
+/// `SideChannelAttack::init` prefix — agent spawning, the bank
+/// row-opening sweep, clock sync) vs forking a parent that ran the
+/// identical prefix once, outside the timed loop. The victim's
+/// seeding-probe stream is recorded by `SideChannelAttack::new`, outside
+/// both timed loops. The fork
 /// is O(metadata) — Arc clones of the bank SoA, cache arrays and page
 /// tables — so `side_channel_init_fork` must stay well under a fifth of
 /// `side_channel_init_scratch`.

@@ -56,7 +56,8 @@ const NEG_INF: i32 = i32::MIN / 4;
 ///
 /// Cells outside the band around the main diagonal are treated as
 /// unreachable. For sequences whose true alignment stays within the band
-/// this equals full Needleman–Wunsch.
+/// this equals full Needleman–Wunsch. Each row touches only its band, so
+/// the cost is O(n · band).
 #[must_use]
 pub fn banded_align(a: &[u8], b: &[u8], p: AlignParams) -> Alignment {
     let (n, m) = (a.len(), b.len());
@@ -67,27 +68,26 @@ pub fn banded_align(a: &[u8], b: &[u8], p: AlignParams) -> Alignment {
         };
     }
     let band = p.band.max(n.abs_diff(m)) + 1;
-    // dp[j] for current row i; j indexes b.
+    // dp[j] for current row i; j indexes b. The two row buffers are reused,
+    // so left of the band a buffer may hold a value from two rows back:
+    // the one such cell the band reads is reset before each row. The band's
+    // right edge never moves left, so past the previous row's band (where
+    // `prev[hi]` may lie) a buffer still holds its initial NEG_INF / 0.
     let mut prev = vec![NEG_INF; m + 1];
     let mut prev_matches = vec![0u32; m + 1];
-    prev[0] = 0;
-    #[allow(clippy::needless_range_loop)]
-    for j in 1..=m {
-        prev[j] = if j <= band {
-            -(p.gap * j as i32)
-        } else {
-            NEG_INF
-        };
+    for (j, cell) in prev.iter_mut().enumerate().take(band.min(m) + 1) {
+        *cell = -(p.gap * j as i32);
     }
     let mut cur = vec![NEG_INF; m + 1];
     let mut cur_matches = vec![0u32; m + 1];
     for i in 1..=n {
-        cur.fill(NEG_INF);
-        cur_matches.fill(0);
         let lo = i.saturating_sub(band);
         let hi = (i + band).min(m);
         if lo == 0 {
             cur[0] = -(p.gap * i as i32);
+        } else {
+            cur[lo - 1] = NEG_INF;
+            cur_matches[lo - 1] = 0;
         }
         for j in lo.max(1)..=hi {
             let sub = if a[i - 1] == b[j - 1] {
@@ -198,5 +198,119 @@ mod tests {
         let al = banded_align(&a, &b, AlignParams::default());
         let id = al.identity(a.len(), b.len());
         assert!(id > 0.9, "identity = {id}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The full-row banded aligner: resets whole rows (O(n · m)) before
+    /// filling each band. [`banded_align`] must agree with it exactly.
+    fn reference_banded_align(a: &[u8], b: &[u8], p: AlignParams) -> Alignment {
+        let (n, m) = (a.len(), b.len());
+        if n == 0 || m == 0 {
+            return Alignment {
+                score: -(p.gap * (n + m) as i32),
+                matches: 0,
+            };
+        }
+        let band = p.band.max(n.abs_diff(m)) + 1;
+        // dp[j] for current row i; j indexes b.
+        let mut prev = vec![NEG_INF; m + 1];
+        let mut prev_matches = vec![0u32; m + 1];
+        prev[0] = 0;
+        #[allow(clippy::needless_range_loop)]
+        for j in 1..=m {
+            prev[j] = if j <= band {
+                -(p.gap * j as i32)
+            } else {
+                NEG_INF
+            };
+        }
+        let mut cur = vec![NEG_INF; m + 1];
+        let mut cur_matches = vec![0u32; m + 1];
+        for i in 1..=n {
+            cur.fill(NEG_INF);
+            cur_matches.fill(0);
+            let lo = i.saturating_sub(band);
+            let hi = (i + band).min(m);
+            if lo == 0 {
+                cur[0] = -(p.gap * i as i32);
+            }
+            for j in lo.max(1)..=hi {
+                let sub = if a[i - 1] == b[j - 1] {
+                    p.match_score
+                } else {
+                    -p.mismatch
+                };
+                let diag = prev[j - 1].saturating_add(sub);
+                let up = prev[j].saturating_add(-p.gap);
+                let left = cur[j - 1].saturating_add(-p.gap);
+                let best = diag.max(up).max(left);
+                cur[j] = best;
+                cur_matches[j] = if best == diag {
+                    prev_matches[j - 1] + u32::from(a[i - 1] == b[j - 1])
+                } else if best == up {
+                    prev_matches[j]
+                } else {
+                    cur_matches[j - 1]
+                };
+            }
+            core::mem::swap(&mut prev, &mut cur);
+            core::mem::swap(&mut prev_matches, &mut cur_matches);
+        }
+        Alignment {
+            score: prev[m],
+            matches: prev_matches[m],
+        }
+    }
+
+    proptest! {
+        /// Resetting only the band's out-of-band neighbours gives the same
+        /// score and match count as resetting whole rows.
+        #[test]
+        fn band_limited_matches_full_row_reset(
+            a in prop::collection::vec(0u8..4, 0..120),
+            b in prop::collection::vec(0u8..4, 0..120),
+            band in 0usize..40,
+            gap in 1u8..4,
+            mismatch in 0u8..4,
+        ) {
+            let p = AlignParams {
+                match_score: 1,
+                mismatch: i32::from(mismatch),
+                gap: i32::from(gap),
+                band,
+            };
+            prop_assert_eq!(banded_align(&a, &b, p), reference_banded_align(&a, &b, p));
+        }
+
+        /// Near-identical sequences (the mapper's case) with a narrow band.
+        #[test]
+        fn band_limited_matches_on_noisy_copies(
+            a in prop::collection::vec(0u8..4, 1..300),
+            edits in prop::collection::vec((0usize..300, 0u8..3), 0..12),
+            band in 0usize..20,
+        ) {
+            let mut b = a.clone();
+            for (pos, kind) in edits {
+                let pos = pos % (b.len() + 1);
+                match kind {
+                    0 if pos < b.len() => b[pos] = (b[pos] + 1) % 4,
+                    1 => b.insert(pos, 0),
+                    _ if pos < b.len() => {
+                        b.remove(pos);
+                    }
+                    _ => {}
+                }
+            }
+            let p = AlignParams {
+                band,
+                ..AlignParams::default()
+            };
+            prop_assert_eq!(banded_align(&a, &b, p), reference_banded_align(&a, &b, p));
+        }
     }
 }

@@ -74,6 +74,28 @@ pub fn minimizers(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
     out
 }
 
+/// The seeding step's hash-table probes of `seq`, in probe order: each
+/// window minimizer with the bucket (`hash % num_buckets`) it looks up.
+///
+/// [`KmerIndex::build`] files reference minimizers under these buckets and
+/// [`crate::mapper::ReadMapper`] probes exactly these buckets for a read,
+/// so the victim's observable probe stream needs no index to compute.
+///
+/// # Panics
+///
+/// Panics if `num_buckets` is 0.
+pub fn seed_probes(
+    seq: &[u8],
+    k: usize,
+    w: usize,
+    num_buckets: usize,
+) -> impl Iterator<Item = (Minimizer, usize)> {
+    assert!(num_buckets > 0, "need at least one bucket");
+    minimizers(seq, k, w)
+        .into_iter()
+        .map(move |m| (m, (m.hash % num_buckets as u64) as usize))
+}
+
 /// Placement of hash-table buckets across DRAM banks (§4.3, Fig. 7):
 /// bucket `b` lives in bank `b % banks`; the buckets of one bank pack into
 /// rows of `buckets_per_row` entries.
@@ -150,10 +172,9 @@ impl KmerIndex {
     #[must_use]
     pub fn build(genome: &Genome, k: usize, w: usize, num_buckets: usize) -> KmerIndex {
         assert!(k > 0 && k <= 32, "k must be in 1..=32");
-        assert!(num_buckets > 0, "need at least one bucket");
         let mut buckets = vec![Vec::new(); num_buckets];
-        for m in minimizers(genome.bases(), k, w) {
-            buckets[(m.hash % num_buckets as u64) as usize].push(m.pos as u32);
+        for (m, bucket) in seed_probes(genome.bases(), k, w, num_buckets) {
+            buckets[bucket].push(m.pos as u32);
         }
         KmerIndex { k, w, buckets }
     }
@@ -176,20 +197,9 @@ impl KmerIndex {
         self.buckets.len()
     }
 
-    /// Bucket index of a hash.
-    #[must_use]
-    pub fn bucket_of(&self, hash: u64) -> usize {
-        (hash % self.buckets.len() as u64) as usize
-    }
-
-    /// Reference positions stored in the bucket for `hash`.
-    #[must_use]
-    pub fn lookup(&self, hash: u64) -> &[u32] {
-        &self.buckets[self.bucket_of(hash)]
-    }
-
-    /// Positions stored in bucket `bucket` (attacker-side candidate
-    /// enumeration in the completion attack).
+    /// Reference positions stored in bucket `bucket`: what a seeding
+    /// probe ([`seed_probes`]) reads, and the attacker-side candidate
+    /// enumeration in the completion attack.
     #[must_use]
     pub fn bucket_positions(&self, bucket: usize) -> &[u32] {
         &self.buckets[bucket]
@@ -252,9 +262,9 @@ mod tests {
         let g = Genome::synthesize(5_000, 13);
         let idx = KmerIndex::build(&g, 15, 5, 4096);
         // Every minimizer of the genome must be findable at its position.
-        for m in minimizers(g.bases(), 15, 5).into_iter().take(100) {
+        for (m, bucket) in seed_probes(g.bases(), 15, 5, idx.num_buckets()).take(100) {
             assert!(
-                idx.lookup(m.hash).contains(&(m.pos as u32)),
+                idx.bucket_positions(bucket).contains(&(m.pos as u32)),
                 "minimizer at {} missing",
                 m.pos
             );

@@ -12,13 +12,15 @@
 //! * [`genome`] — synthetic reference genomes and read sampling (the paper
 //!   uses the human genome + synthetic query genomes; we substitute a
 //!   seeded synthetic reference — see DESIGN.md);
-//! * [`index`] — k-mer/minimizer extraction and the bank-distributed hash
-//!   table ([`index::BankLayout`]);
+//! * [`index`] — k-mer/minimizer extraction, the seeding step's bucket
+//!   probes ([`index::seed_probes`]) and the bank-distributed hash table
+//!   ([`index::BankLayout`]);
 //! * [`chain`] — anchor chaining (the paper assumes chaining, §5.1);
 //! * [`align`] — banded dynamic-programming alignment;
 //! * [`mapper`] — the end-to-end mapper with an observer hook
-//!   ([`mapper::SeedAccessObserver`]) through which the simulator sees
-//!   every hash-table access — the exact signal the attacker steals;
+//!   ([`mapper::SeedAccessObserver`]) that sees every hash-table access —
+//!   the exact signal the attacker steals, which the side channel
+//!   records from [`index::seed_probes`] alone;
 //! * [`imputation`] — completion-attack style scoring of leaked accesses
 //!   against ground truth.
 //!

@@ -1,13 +1,14 @@
 //! The end-to-end read mapper with an observable seeding stage.
 //!
-//! The IMPACT side channel watches the victim's hash-table probes. To let
-//! the simulator (and the attacker model) see exactly those probes, the
-//! mapper reports every bucket access through a [`SeedAccessObserver`].
+//! The IMPACT side channel watches the victim's hash-table probes. The
+//! mapper reports every bucket access through a [`SeedAccessObserver`];
+//! it probes exactly the buckets of [`seed_probes`], which is how the side
+//! channel records the same stream without mapping.
 
 use crate::align::{banded_align, AlignParams, Alignment};
 use crate::chain::{chain_anchors, Anchor, Chain};
 use crate::genome::{Genome, ReadSeq};
-use crate::index::{minimizers, KmerIndex};
+use crate::index::{seed_probes, KmerIndex};
 
 /// Observer of the seeding stage's hash-table accesses.
 pub trait SeedAccessObserver {
@@ -84,12 +85,16 @@ impl<'a> ReadMapper<'a> {
         read: &ReadSeq,
         obs: &mut dyn SeedAccessObserver,
     ) -> Option<MapResult> {
-        let ms = minimizers(&read.bases, self.index.k(), self.index.w());
+        let probes = seed_probes(
+            &read.bases,
+            self.index.k(),
+            self.index.w(),
+            self.index.num_buckets(),
+        );
         let mut anchors = Vec::new();
-        for m in &ms {
-            let bucket = self.index.bucket_of(m.hash);
+        for (m, bucket) in probes {
             obs.on_bucket_access(bucket);
-            for &ref_pos in self.index.lookup(m.hash) {
+            for &ref_pos in self.index.bucket_positions(bucket) {
                 anchors.push(Anchor {
                     read_pos: m.pos as u32,
                     ref_pos,
@@ -215,6 +220,55 @@ mod tests {
         match mapper.map_read(&read) {
             None => {}
             Some(m) => assert!(m.anchors <= 3, "foreign read chained {} anchors", m.anchors),
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::genome::ReadSampler;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The seeding probes alone, with no index, chaining or alignment,
+        /// are exactly the bucket stream the full mapper reports: the
+        /// side channel's victim stream is the mapper's by construction.
+        #[test]
+        fn seed_probes_are_the_mappers_probe_stream(
+            genome_seed in 0u64..1_000_000,
+            genome_len in 1_000usize..20_000,
+            reads in 0usize..24,
+            read_len in 5usize..200,
+            error_permille in 0u32..150,
+            focus_percent in 0u32..101,
+            focus_len in 1usize..400,
+            buckets_pick in 0usize..4,
+            random_buckets in 1usize..40_000,
+        ) {
+            // Powers of two, a non-power-of-two count, a count below the
+            // 1024-bank minimum of Fig. 11, and an arbitrary one.
+            let buckets = [16_384, 1_000, 96, random_buckets][buckets_pick];
+            let genome = Genome::synthesize(genome_len, genome_seed);
+            let focus_start = genome_len / 3;
+            let reads = ReadSampler::new(genome_seed ^ 0xBEEF).sample_focused(
+                &genome,
+                reads,
+                read_len,
+                f64::from(error_permille) / 1000.0,
+                f64::from(focus_percent) / 100.0,
+                focus_start,
+                focus_len.min(genome_len - focus_start - read_len),
+            );
+            let index = KmerIndex::build(&genome, 15, 5, buckets);
+            let mut recorder = RecordingObserver::default();
+            ReadMapper::new(&genome, &index).map_reads_observed(&reads, &mut recorder);
+            let seeded: Vec<usize> = reads
+                .iter()
+                .flat_map(|r| seed_probes(&r.bases, 15, 5, buckets))
+                .map(|(_, bucket)| bucket)
+                .collect();
+            prop_assert_eq!(seeded, recorder.buckets);
         }
     }
 }
